@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <thread>
 
 #include "common/error.hpp"
@@ -147,55 +146,6 @@ void decode_result_response(const Response& r, RemoteResult* out) {
   out->csv = csv != nullptr ? csv->string : "";
   out->stats_run_json = stats != nullptr ? stats->string : "";
   out->cache_hit = hit != nullptr && hit->boolean;
-}
-
-std::vector<RemoteResult> run_matrix_remote(Client& client,
-                                            const std::vector<sim::MatrixJob>& jobs,
-                                            u64 window) {
-  std::vector<RemoteResult> results(jobs.size());
-  if (window == 0) {
-    const Response status = client.server_status();
-    const trace::JsonValue* limit = status.doc.find("queue_limit");
-    window = limit != nullptr && limit->unsigned_integer > 0
-                 ? limit->unsigned_integer
-                 : 8;
-  }
-
-  // (job index, server id) of submitted-but-unfetched jobs, FIFO. The
-  // result-wait fetch of the oldest entry is what frees an admission slot,
-  // so a queue-full rejection always resolves by draining the head.
-  std::deque<std::pair<std::size_t, u64>> inflight;
-  const auto drain_one = [&] {
-    const auto [index, id] = inflight.front();
-    inflight.pop_front();
-    const Response r = client.result(id, /*wait=*/true);
-    if (r.ok) {
-      decode_result_response(r, &results[index]);
-    } else {
-      results[index].error = r.error;
-      results[index].message = r.message;
-    }
-  };
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (inflight.size() >= window) drain_one();
-    for (;;) {
-      const Response r = client.submit(JobSpec{jobs[i], 0});
-      if (r.ok) {
-        inflight.emplace_back(i, r.doc.u64_at("id"));
-        break;
-      }
-      if (r.error == kErrQueueFull && !inflight.empty()) {
-        drain_one();  // free one admission slot, then retry the submit
-        continue;
-      }
-      results[i].error = r.error;
-      results[i].message = r.message;
-      break;
-    }
-  }
-  while (!inflight.empty()) drain_one();
-  return results;
 }
 
 }  // namespace mlp::serve

@@ -30,7 +30,8 @@
 // declare it ("protocol_version":2 in the request): an old client replaying
 // captured frames gets a typed version-mismatch, never a silent misparse.
 // Snapshot blobs never cross the wire — they live in the daemon's LRU cache
-// keyed (prepare key, architecture, requested cycle).
+// keyed (fork key, fault rates, requested cycle): the whole job spec except
+// tag, trace config and hold_ms, so a restore under different knobs misses.
 //
 // The result's "stats" member is the run's stats-JSON object shipped as an
 // escaped string, byte-for-byte what a local sim::stats_json_run() emits, so
@@ -66,8 +67,8 @@ inline constexpr char kErrShuttingDown[] = "shutting-down";
 /// A version-gated request (snapshot/restore) without the right
 /// "protocol_version" declaration — the typed rejection old clients see.
 inline constexpr char kErrVersionMismatch[] = "version-mismatch";
-/// Restore for a (prepare key, arch, cycle) the daemon has not captured (or
-/// has LRU-evicted).
+/// Restore for a (job spec, cycle) the daemon has not captured (or has
+/// LRU-evicted).
 inline constexpr char kErrNoSuchSnapshot[] = "no-such-snapshot";
 /// CLIENT-side kind for a deadline expiring mid-exchange (connect handshake,
 /// request write, response read). Never sent by the server: a peer that hit

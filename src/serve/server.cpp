@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 
 #include "common/error.hpp"
 #include "serve/transport.hpp"
@@ -55,12 +56,18 @@ JobSpec snapshot_verb_spec(const trace::JsonValue& doc, u64* cycle) {
   return spec;
 }
 
-/// Cache key of a captured blob: preparation identity + architecture +
-/// REQUESTED cycle (what the client can reproduce; the quiesce-drained
-/// capture cycle travels in the response instead).
+/// Cache key of a captured blob: the fork key (architecture, preparation
+/// identity and every other knob that shapes the run) + the three fault
+/// rates the fork key leaves out + the REQUESTED cycle (what the client can
+/// reproduce; the quiesce-drained capture cycle travels in the response
+/// instead). A restore under any other knob misses, never restores a blob
+/// captured under different timing.
 std::string snapshot_cache_key(const sim::MatrixJob& job, u64 cycle) {
-  return sim::prepare_key(job) + "|" + arch::arch_name(job.kind) + "|" +
-         std::to_string(cycle);
+  const FaultConfig& fault = job.options.cfg.dram.fault;
+  char rates[96];
+  std::snprintf(rates, sizeof(rates), "|fr%.17g|fd%.17g|fp%.17g|",
+                fault.bit_flip_rate, fault.delay_rate, fault.drop_rate);
+  return sim::fork_key(job) + rates + std::to_string(cycle);
 }
 
 }  // namespace

@@ -128,8 +128,9 @@ class Server {
 
   std::unique_ptr<sim::ThreadPool> pool_;
   sim::PrepareCache cache_;
-  /// Captured snapshot blobs keyed "prepare_key|arch|cycle"; thread-safe,
-  /// shared by every connection thread. Blobs never leave the daemon.
+  /// Captured snapshot blobs keyed by fork key, fault rates and requested
+  /// cycle; thread-safe, shared by every connection thread. Blobs never
+  /// leave the daemon.
   sim::SnapshotCache snapshots_;
 
   mutable std::mutex mutex_;

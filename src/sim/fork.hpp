@@ -60,9 +60,9 @@ std::vector<MatrixResult> run_matrix_forked(const std::vector<MatrixJob>& jobs,
                                             PrepareCache* cache = nullptr,
                                             ForkStats* fork_stats = nullptr);
 
-/// Thread-safe LRU cache of captured snapshot blobs, keyed by
-/// (prepare key, architecture, requested checkpoint cycle) — the mlpserved
-/// `snapshot`/`restore` verbs. Blobs are shared_ptr so a restore can run
+/// Thread-safe LRU cache of captured snapshot blobs under caller-built
+/// string keys — the mlpserved `snapshot`/`restore` verbs key it by fork
+/// key, fault rates and requested checkpoint cycle. Blobs are shared_ptr so a restore can run
 /// against an entry concurrently evicted by a later capture.
 class SnapshotCache {
  public:

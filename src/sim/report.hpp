@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/knobs.hpp"
 #include "sim/runner.hpp"
 
 namespace mlp::sim {
@@ -36,9 +37,6 @@ std::string sweep_csv_header();
 /// with CSV-hostile characters (commas, quotes, newlines) replaced, so a
 /// partially failed sweep still parses as a rectangular table.
 std::string sweep_csv_row(const MatrixResult& run);
-
-/// Effective record count of a job (explicit records or sized by rows).
-u64 job_records(const MatrixJob& job);
 
 /// The `--stats-json` document: schema_version + one entry per run carrying
 /// the job configuration, the derived metrics, and EVERY registered counter

@@ -110,14 +110,28 @@ class ArgCursor {
   std::exit(2);
 }
 
+/// Unsigned decimal integer; false unless the whole string parses.
+inline bool parse_unsigned(const std::string& text, u64* out) {
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(text.c_str(), &end, 10);
+  return !text.empty() && end == text.c_str() + text.size() && errno == 0 &&
+         text[0] != '-';
+}
+
+/// Floating-point number; false unless the whole string parses.
+inline bool parse_real(const std::string& text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtod(text.c_str(), &end);
+  return !text.empty() && end == text.c_str() + text.size() && errno == 0;
+}
+
 /// Unsigned integer; the whole string must parse. `min` rejects e.g. 0.
 inline u64 parse_u64(const std::string& flag, const std::string& text,
                      u64 min = 0) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || end != text.c_str() + text.size() || errno != 0 ||
-      text[0] == '-' || value < min) {
+  u64 value = 0;
+  if (!parse_unsigned(text, &value) || value < min) {
     flag_error(flag, text,
                min > 0 ? "a positive integer" : "a non-negative integer");
   }
@@ -129,32 +143,6 @@ inline u32 parse_u32(const std::string& flag, const std::string& text,
   const u64 value = parse_u64(flag, text, min);
   if (value > 0xffffffffull) flag_error(flag, text, "a 32-bit integer");
   return static_cast<u32>(value);
-}
-
-/// Strictly positive floating-point value; the whole string must parse.
-inline double parse_positive_double(const std::string& flag,
-                                    const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() || errno != 0 ||
-      !(value > 0.0)) {
-    flag_error(flag, text, "a positive number");
-  }
-  return value;
-}
-
-/// Probability in [0, 1]; the whole string must parse. 0 is allowed so a
-/// sweep axis can include the fault-free baseline.
-inline double parse_rate(const std::string& flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() || errno != 0 ||
-      !(value >= 0.0) || value > 1.0) {
-    flag_error(flag, text, "a probability in [0, 1]");
-  }
-  return value;
 }
 
 /// Render a name list one entry per line — the --list-arches /

@@ -17,6 +17,7 @@
 
 #include "argparse.hpp"
 #include "serve/client.hpp"
+#include "serve/shard.hpp"
 #include "sim/report.hpp"
 #include "sweep_grid.hpp"
 
@@ -48,22 +49,21 @@ Commands:
                      print CSV rows in grid order (or --stats-json)
   shutdown           ask the daemon to drain and exit
 
-Job flags (submit/run): --arch NAME --bench NAME --records N --rows N
-  --seed N --cores N --pf-entries N --bus-efficiency F --fault-rate P
-  --ecc --fault-seed N --record-barrier --slab-layout --tag TEXT
-  --watchdog-cycles N --watchdog-stall N --watchdog-wall MS
-  --trace --trace-dir DIR --trace-ring N --trace-interval N --hold-ms N
+Job flags (submit/run): --arch NAME --bench NAME --tag TEXT --hold-ms N,
+  plus every run knob of the sweep grid below with a single value
 
 Common:
   --raw                   print raw JSON response frames instead of decoding
-  --connect-timeout-ms N  TCP handshake deadline (default 5000; 0 = block)
+  --connect-timeout-ms N  TCP handshake deadline; run and sweep also retry
+                          a just-launched daemon that long (default 5000;
+                          0 = block)
   --request-timeout-ms N  whole-roundtrip deadline; a silent server fails
                           the command with a typed timeout error instead of
                           hanging it (default 0 = no deadline)
   --version               print the toolchain version
 
 %s)",
-              tools::SweepGrid::help());
+              tools::SweepGrid::help().c_str());
 }
 
 /// Typed server errors exit 1 with the kind on stderr so scripts (and the
@@ -74,10 +74,9 @@ int report_error(const serve::Response& r) {
   return 1;
 }
 
-/// Parse one job's flags (a degenerate one-point grid plus job-only knobs).
+/// Parse one job's flags: the run knobs plus the job-only flags.
 serve::JobSpec parse_job(tools::ArgCursor& args, bool* stats_json) {
   serve::JobSpec spec;
-  sim::SuiteOptions& o = spec.job.options;
   spec.job.bench = "count";
   while (args.next()) {
     const std::string& arg = args.flag();
@@ -92,49 +91,9 @@ serve::JobSpec parse_job(tools::ArgCursor& args, bool* stats_json) {
       spec.job.bench = args.value();
     } else if (args.is("--tag")) {
       spec.job.tag = args.value();
-    } else if (args.is("--records")) {
-      o.records = tools::parse_u64(arg, args.value(), /*min=*/1);
-    } else if (args.is("--rows")) {
-      o.rows = tools::parse_u64(arg, args.value(), /*min=*/1);
-    } else if (args.is("--seed")) {
-      o.seed = tools::parse_u64(arg, args.value());
-    } else if (args.is("--cores")) {
-      o.cfg.core.cores = tools::parse_u32(arg, args.value(), /*min=*/1);
-      o.cfg.gpgpu.warp_width = o.cfg.core.cores;
-    } else if (args.is("--pf-entries")) {
-      o.cfg.millipede.pf_entries =
-          tools::parse_u32(arg, args.value(), /*min=*/1);
-    } else if (args.is("--bus-efficiency")) {
-      o.cfg.dram.bus_efficiency =
-          tools::parse_positive_double(arg, args.value());
-    } else if (args.is("--fault-rate")) {
-      o.cfg.dram.fault.bit_flip_rate = tools::parse_rate(arg, args.value());
-    } else if (args.is("--fault-seed")) {
-      o.cfg.dram.fault.seed = tools::parse_u64(arg, args.value());
-    } else if (args.is("--ecc")) {
-      o.cfg.dram.fault.ecc = true;
-    } else if (args.is("--record-barrier")) {
-      o.record_barrier = true;
-    } else if (args.is("--slab-layout")) {
-      o.cfg.slab_layout = true;
-    } else if (args.is("--watchdog-cycles")) {
-      o.cfg.watchdog.max_cycles = tools::parse_u64(arg, args.value());
-    } else if (args.is("--watchdog-stall")) {
-      o.cfg.watchdog.stall_cycles = tools::parse_u64(arg, args.value());
-    } else if (args.is("--watchdog-wall")) {
-      o.cfg.watchdog.wall_ms = tools::parse_u64(arg, args.value());
-    } else if (args.is("--trace")) {
-      o.trace.chrome_json = true;
-    } else if (args.is("--trace-dir")) {
-      o.trace.dir = args.value();
-    } else if (args.is("--trace-ring")) {
-      o.trace.ring_entries = tools::parse_u64(arg, args.value(), /*min=*/1);
-    } else if (args.is("--trace-interval")) {
-      o.trace.interval_cycles =
-          tools::parse_u64(arg, args.value(), /*min=*/1);
     } else if (args.is("--hold-ms")) {
       spec.hold_ms = tools::parse_u64(arg, args.value());
-    } else {
+    } else if (!tools::consume_knob(args, spec.job.options)) {
       std::exit(tools::unknown_flag(arg));
     }
   }
@@ -234,12 +193,14 @@ int main(int argc, char** argv) {
 
     if (command == "run" || command == "sweep") {
       // These own the remaining argv; parse before connecting so usage
-      // errors don't need a live daemon.
+      // errors don't need a live daemon. Both run as a one-node fleet.
+      serve::ShardOptions fleet;
+      fleet.connect_timeout_ms = client_options.connect_timeout_ms;
+      fleet.request_timeout_ms = client_options.request_timeout_ms;
       if (command == "run") {
         serve::JobSpec spec = parse_job(args, &stats_json);
-        client.connect(socket_path);
         const std::vector<serve::RemoteResult> results =
-            serve::run_matrix_remote(client, {spec.job});
+            serve::run_matrix_sharded({socket_path}, {spec.job}, fleet);
         const serve::RemoteResult& r = results.at(0);
         if (!r.error.empty()) {
           std::fprintf(stderr, "mlpclient: %s: %s\n", r.error.c_str(),
@@ -265,11 +226,10 @@ int main(int argc, char** argv) {
         }
       }
       const std::vector<sim::MatrixJob> matrix = grid.expand();
-      client.connect(socket_path);
       std::fprintf(stderr, "mlpclient: %zu grid points via %s\n",
                    matrix.size(), socket_path.c_str());
       const std::vector<serve::RemoteResult> results =
-          serve::run_matrix_remote(client, matrix);
+          serve::run_matrix_sharded({socket_path}, matrix, fleet);
       int exit_code = 0;
       std::vector<std::string> stats_runs;
       if (!stats_json) std::fputs(sim::sweep_csv_header().c_str(), stdout);

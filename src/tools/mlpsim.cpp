@@ -43,74 +43,38 @@ bool write_file(const std::string& path, const std::string& data) {
 void usage() {
   std::printf(R"(mlpsim — Millipede PNM simulator driver
 
-  --arch NAME       millipede | millipede-no-flow-control |
-                    millipede-no-rate-match | ssmc | gpgpu | vws | vws-row |
-                    multicore                       (default millipede)
-  --bench NAME      count|sample|variance|nbayes|classify|kmeans|pca|gda
-                    or "all"                        (default all)
-  --records N       absolute record count           (default: by volume)
-  --rows N          data volume in DRAM rows        (default 192)
-  --seed N          data generation seed            (default 1)
-  --cores N         corelets / lanes / cores        (default 32)
-  --pf-entries N    prefetch buffer entries         (default 16)
-  --jobs N          concurrent simulations          (default 1)
-  --no-flow-control / --no-rate-match / --record-barrier
-  --bus-efficiency F  effective DRAM bus efficiency (default 0.30)
-  --channels N      DRAM channels (pow2; one controller each, default 1)
-  --ranks N         DRAM ranks per channel (pow2; default 1)
-  --mapping SPEC    address interleave field order, msb first, of
-                    row|col|bank|rank|channel joined by ':'
-                    (default row:bank:col = legacy row-interleaved banks)
-  --page-policy SPEC  open | closed | open:idle=N:hits=M — per-bank row
-                    policy (N in DRAM cycles, M in column accesses)
-  --refresh SPEC    off | on | on:trefi=N:trfc=N:postpone=K — per-rank
-                    auto-refresh (cycles; K = JEDEC postponement slots)
-  --fault-rate P    DRAM bit-flip probability per transferred bit
-                    (deterministic per seed; default 0 = off)
-  --fault-delay-rate P / --fault-drop-rate P
-                    per-transfer response delay / drop probability
-  --fault-seed N    fault-injection seed               (default 1)
-  --ecc             SECDED(72,64): correct single-bit flips, retry on
-                    detected multi-bit flips; charges 8/64 energy overhead
-  --watchdog-cycles N  abort a run (as a per-run error) after N step-loop
-                    iterations; 0 disables             (default 2e10)
-  --watchdog-stall N   livelock trip: error out after N iterations with no
-                    instruction retired and no DRAM byte transferred;
-                    0 disables                         (default 2e6)
-  --csv             machine-readable one-line-per-run output
-  --stats           dump every counter after each run
-  --stats-json      emit one JSON document (schema_version, per-run config,
-                    metrics, and every registered counter) on stdout instead
-                    of the human/CSV report
-  --trace           capture typed events (corelet stalls, DRAM ACT/PRE/RD/WR,
-                    prefetch lifecycle, freq steps, watchdog/faults) and
-                    write per-run Chrome-trace JSON under the trace dir
-  --trace-dir DIR   output directory for trace files  (default traces)
-  --trace-ring N    bounded capture: keep only the most recent N events and
-                    write them as a compact binary ring instead of JSON
-  --trace-interval N  sample every registered counter (as per-interval
-                    deltas) every N compute cycles into a CSV timeline
-  --no-fast-forward disable the kernel's idle-cycle fast-forward and step
-                    every clock edge (bit-identical results; debugging aid)
-  --no-block-cache  disable the decoded-basic-block interpreter fast path
-                    and re-decode every issued instruction (bit-identical
-                    results; A/B equivalence checks)
-  --checkpoint-at N capture a snapshot of the machine state at the first
-                    quiescent cycle >= N (the run still completes; requires
-                    a single --bench and --checkpoint-out)
-  --checkpoint-out FILE  write the captured snapshot blob to FILE
-  --restore FILE    restore the machine from a snapshot blob and run to
-                    completion; the remainder is bit-identical to the
-                    uninterrupted run (requires a single --bench)
-  --list            list architectures and benchmarks
-  --list-arches     list architectures only, one per line
-  --list-benches    list benchmarks only, one per line
-  --version         print the toolchain version
+  --arch NAME           millipede | millipede-no-flow-control |
+                        millipede-no-rate-match | ssmc | gpgpu | vws |
+                        vws-row | multicore (default millipede)
+  --bench NAME|all      count|sample|variance|nbayes|classify|kmeans|pca|gda
+                        (default all)
+  --no-flow-control / --no-rate-match
+                        aliases for the two Millipede ablation archs
+  --jobs N              concurrent simulations (default 1)
+  --csv                 machine-readable one-line-per-run output
+  --stats               dump every counter after each run
+  --stats-json          emit one JSON document (schema_version, per-run
+                        config, metrics, and every registered counter) on
+                        stdout instead of the human/CSV report
+  --checkpoint-at N     capture a snapshot of the machine state at the first
+                        quiescent cycle >= N (the run still completes;
+                        requires a single --bench and --checkpoint-out)
+  --checkpoint-out FILE write the captured snapshot blob to FILE
+  --restore FILE        restore the machine from a snapshot blob and run to
+                        completion; the remainder is bit-identical to the
+                        uninterrupted run (requires a single --bench)
+  --list                list architectures and benchmarks
+  --list-arches         list architectures only, one per line
+  --list-benches        list benchmarks only, one per line
+  --version             print the toolchain version
 
+Run knobs (the same flags in mlpsim, mlpsweep and mlpclient):
+%s
 A failed run (bad config, watchdog trip, uncorrectable fault, verification
 mismatch) is reported on stderr with its diagnostic dump; remaining runs
 still execute and the exit status is nonzero.
-)");
+)",
+              tools::knob_help(/*lists=*/false).c_str());
 }
 
 }  // namespace
@@ -167,46 +131,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--bench") {
       bench = next();
-    } else if (arg == "--records") {
-      options.records = tools::parse_u64(arg, next(), /*min=*/1);
-    } else if (arg == "--rows") {
-      options.rows = tools::parse_u64(arg, next(), /*min=*/1);
-    } else if (arg == "--seed") {
-      options.seed = tools::parse_u64(arg, next());
-    } else if (arg == "--cores") {
-      options.cfg.core.cores = tools::parse_u32(arg, next(), /*min=*/1);
-      options.cfg.gpgpu.warp_width = options.cfg.core.cores;
-    } else if (arg == "--pf-entries") {
-      options.cfg.millipede.pf_entries =
-          tools::parse_u32(arg, next(), /*min=*/1);
-    } else if (arg == "--bus-efficiency") {
-      options.cfg.dram.bus_efficiency =
-          tools::parse_positive_double(arg, next());
-    } else if (arg == "--channels") {
-      options.cfg.dram.channels = tools::parse_u32(arg, next(), /*min=*/1);
-    } else if (arg == "--ranks") {
-      options.cfg.dram.ranks = tools::parse_u32(arg, next(), /*min=*/1);
-    } else if (arg == "--mapping") {
-      options.cfg.dram.mapping = tools::parse_mapping_spec(arg, next());
-    } else if (arg == "--page-policy") {
-      options.cfg.dram.page_policy = tools::parse_page_policy_spec(arg, next());
-    } else if (arg == "--refresh") {
-      options.cfg.dram.refresh = tools::parse_refresh_spec(arg, next());
-    } else if (arg == "--fault-rate") {
-      options.cfg.dram.fault.bit_flip_rate =
-          tools::parse_rate(arg, next());
-    } else if (arg == "--fault-delay-rate") {
-      options.cfg.dram.fault.delay_rate = tools::parse_rate(arg, next());
-    } else if (arg == "--fault-drop-rate") {
-      options.cfg.dram.fault.drop_rate = tools::parse_rate(arg, next());
-    } else if (arg == "--fault-seed") {
-      options.cfg.dram.fault.seed = tools::parse_u64(arg, next());
-    } else if (arg == "--ecc") {
-      options.cfg.dram.fault.ecc = true;
-    } else if (arg == "--watchdog-cycles") {
-      options.cfg.watchdog.max_cycles = tools::parse_u64(arg, next());
-    } else if (arg == "--watchdog-stall") {
-      options.cfg.watchdog.stall_cycles = tools::parse_u64(arg, next());
     } else if (arg == "--checkpoint-at") {
       checkpoint_at = tools::parse_u64(arg, next(), /*min=*/1);
     } else if (arg == "--checkpoint-out") {
@@ -221,28 +145,13 @@ int main(int argc, char** argv) {
       kind = arch::ArchKind::kMillipedeNoFlowControl;
     } else if (arg == "--no-rate-match") {
       kind = arch::ArchKind::kMillipedeNoRateMatch;
-    } else if (arg == "--record-barrier") {
-      options.record_barrier = true;
-    } else if (arg == "--no-fast-forward") {
-      options.cfg.fast_forward = false;
-    } else if (arg == "--no-block-cache") {
-      options.cfg.block_cache = false;
     } else if (arg == "--csv") {
       csv = true;
     } else if (arg == "--stats") {
       dump_stats = true;
     } else if (arg == "--stats-json") {
       stats_json = true;
-    } else if (arg == "--trace") {
-      options.trace.chrome_json = true;
-    } else if (arg == "--trace-dir") {
-      options.trace.dir = next();
-    } else if (arg == "--trace-ring") {
-      options.trace.ring_entries = tools::parse_u64(arg, next(), /*min=*/1);
-    } else if (arg == "--trace-interval") {
-      options.trace.interval_cycles =
-          tools::parse_u64(arg, next(), /*min=*/1);
-    } else {
+    } else if (!tools::consume_knob(args, options)) {
       return tools::unknown_flag(arg);
     }
   }
@@ -343,11 +252,7 @@ int main(int argc, char** argv) {
     const arch::RunResult& r = run.result;
     const std::string& name = run.job.bench;
     if (csv) {
-      const u64 records =
-          run.job.options.records != 0
-              ? run.job.options.records
-              : sim::records_for(name, run.job.options.cfg,
-                                 run.job.options.rows);
+      const u64 records = sim::job_records(run.job);
       std::printf("%s,%s,%llu,%.3f,%llu,%llu,%.2f,%.0f,%.3f,%.3f,%.3f,%.4f,"
                   "%llu,%llu,%llu\n",
                   r.arch.c_str(), name.c_str(),

@@ -43,25 +43,16 @@ TEST(ParseU32, RejectsValuesAbove32Bits) {
               "32-bit");
 }
 
-TEST(ParsePositiveDouble, AcceptsPositiveRejectsRest) {
-  EXPECT_DOUBLE_EQ(parse_positive_double("--f", "0.25"), 0.25);
-  EXPECT_DOUBLE_EQ(parse_positive_double("--f", "1e-3"), 1e-3);
-  EXPECT_EXIT(parse_positive_double("--f", "0"), testing::ExitedWithCode(2),
-              "positive");
-  EXPECT_EXIT(parse_positive_double("--f", "-1.5"),
-              testing::ExitedWithCode(2), "positive");
-  EXPECT_EXIT(parse_positive_double("--f", "fast"),
-              testing::ExitedWithCode(2), "positive");
-}
-
-TEST(ParseRate, EnforcesProbabilityBounds) {
-  EXPECT_DOUBLE_EQ(parse_rate("--p", "0"), 0.0);
-  EXPECT_DOUBLE_EQ(parse_rate("--p", "1"), 1.0);
-  EXPECT_DOUBLE_EQ(parse_rate("--p", "1e-6"), 1e-6);
-  EXPECT_EXIT(parse_rate("--p", "1.5"), testing::ExitedWithCode(2),
-              "probability");
-  EXPECT_EXIT(parse_rate("--p", "-0.1"), testing::ExitedWithCode(2),
-              "probability");
+TEST(ParseReal, WholeStringOrNothing) {
+  double value = 0;
+  EXPECT_TRUE(parse_real("0.25", &value));
+  EXPECT_DOUBLE_EQ(value, 0.25);
+  EXPECT_TRUE(parse_real("-1e-3", &value));
+  EXPECT_DOUBLE_EQ(value, -1e-3);
+  EXPECT_FALSE(parse_real("fast", &value));
+  EXPECT_FALSE(parse_real("0.5x", &value));
+  EXPECT_FALSE(parse_real("", &value));
+  EXPECT_FALSE(parse_real("1e999", &value));  // out of range
 }
 
 TEST(SplitList, SplitsAndRejectsEmptyElements) {

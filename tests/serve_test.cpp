@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "knob_samples.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/shard.hpp"
@@ -114,45 +115,27 @@ TEST(JobJson, RoundTripsEveryField) {
   spec.job.kind = arch::ArchKind::kVwsRow;
   spec.job.bench = "kmeans";
   spec.job.tag = "point-7";
-  spec.job.options.records = 4096;
-  spec.job.options.rows = 96;
-  spec.job.options.seed = 11;
-  spec.job.options.record_barrier = true;
-  spec.job.options.cfg.core.cores = 64;
-  spec.job.options.cfg.gpgpu.warp_width = 64;
-  spec.job.options.cfg.millipede.pf_entries = 8;
-  spec.job.options.cfg.dram.bus_efficiency = 0.5;
-  spec.job.options.cfg.slab_layout = true;
-  spec.job.options.cfg.dram.fault.bit_flip_rate = 1e-7;
-  spec.job.options.cfg.dram.fault.ecc = true;
-  spec.job.options.cfg.dram.fault.seed = 3;
-  spec.job.options.cfg.watchdog.max_cycles = 123456;
-  spec.job.options.cfg.watchdog.wall_ms = 90000;
-  spec.job.options.trace.chrome_json = true;
-  spec.job.options.trace.dir = "/tmp/traces";
   spec.hold_ms = 250;
+  // Every knob of the table at a non-default value.
+  for (const sim::Knob& knob : sim::knobs()) {
+    const testing_knobs::KnobSample* sample = testing_knobs::knob_sample(knob);
+    ASSERT_NE(sample, nullptr) << knob.key;
+    sim::knob_set(knob, spec.job.options,
+                  testing_knobs::sample_value(knob, sample->good));
+  }
 
   const JobSpec back = job_from_json(trace::json_parse(job_json(spec)));
   EXPECT_EQ(back.job.kind, spec.job.kind);
   EXPECT_EQ(back.job.bench, spec.job.bench);
   EXPECT_EQ(back.job.tag, spec.job.tag);
-  EXPECT_EQ(back.job.options.records, 4096u);
-  EXPECT_EQ(back.job.options.rows, 96u);
-  EXPECT_EQ(back.job.options.seed, 11u);
-  EXPECT_TRUE(back.job.options.record_barrier);
-  EXPECT_EQ(back.job.options.cfg.core.cores, 64u);
-  EXPECT_EQ(back.job.options.cfg.gpgpu.warp_width, 64u);
-  EXPECT_EQ(back.job.options.cfg.millipede.pf_entries, 8u);
-  EXPECT_DOUBLE_EQ(back.job.options.cfg.dram.bus_efficiency, 0.5);
-  EXPECT_TRUE(back.job.options.cfg.slab_layout);
-  EXPECT_DOUBLE_EQ(back.job.options.cfg.dram.fault.bit_flip_rate, 1e-7);
-  EXPECT_TRUE(back.job.options.cfg.dram.fault.ecc);
-  EXPECT_EQ(back.job.options.cfg.dram.fault.seed, 3u);
-  EXPECT_EQ(back.job.options.cfg.watchdog.max_cycles, 123456u);
-  EXPECT_EQ(back.job.options.cfg.watchdog.wall_ms, 90000u);
-  EXPECT_TRUE(back.job.options.trace.chrome_json);
-  EXPECT_EQ(back.job.options.trace.dir, "/tmp/traces");
   EXPECT_EQ(back.hold_ms, 250u);
+  for (const sim::Knob& knob : sim::knobs()) {
+    EXPECT_EQ(sim::knob_get(knob, back.job.options),
+              sim::knob_get(knob, spec.job.options))
+        << knob.key;
+  }
+  // The cores knob also sizes the GPGPU warp.
+  EXPECT_EQ(back.job.options.cfg.gpgpu.warp_width, 64u);
 }
 
 TEST(JobJson, RejectsMalformedSpecs) {
@@ -545,14 +528,12 @@ TEST(Service, SubmitAfterShutdownIsRefused) {
   EXPECT_EQ(refused.error, kErrShuttingDown);
 }
 
-TEST(Service, RunMatrixRemoteMatchesLocalBytes) {
+TEST(Service, OneNodeSlidingWindowMatchesLocalBytes) {
   LiveServer live(ServeConfig{"", "", /*threads=*/4, /*queue_limit=*/3});
-  Client client;
-  client.connect(live.path());
 
   // 4 architectures × 2 benchmarks through a 3-slot admission window: the
-  // sliding-window client must absorb queue-full backpressure and still
-  // return every result in submission order.
+  // one-node fleet's sliding window must absorb queue-full backpressure and
+  // still return every result in submission order.
   std::vector<sim::MatrixJob> jobs;
   for (const arch::ArchKind kind :
        {arch::ArchKind::kMillipede, arch::ArchKind::kSsmc,
@@ -562,7 +543,8 @@ TEST(Service, RunMatrixRemoteMatchesLocalBytes) {
       jobs.push_back(small_job(bench, kind).job);
     }
   }
-  const std::vector<RemoteResult> remote = run_matrix_remote(client, jobs);
+  const std::vector<RemoteResult> remote =
+      run_matrix_sharded({live.path()}, jobs);
   const std::vector<sim::MatrixResult> local = sim::run_matrix(jobs, 2);
 
   ASSERT_EQ(remote.size(), local.size());
@@ -980,6 +962,18 @@ TEST(Service, RestoreWithoutASnapshotIsTyped) {
   EXPECT_FALSE(
       client.restore(small_job("count", arch::ArchKind::kSsmc), 1).ok);
   EXPECT_FALSE(client.restore(small_job("sample"), 1).ok);
+  // So is any timing knob: a blob captured at one bus efficiency or page
+  // policy must not finish a run configured with another.
+  JobSpec slow_bus = small_job("count");
+  slow_bus.job.options.cfg.dram.bus_efficiency = 0.05;
+  const Response bus_miss = client.restore(slow_bus, 1);
+  EXPECT_FALSE(bus_miss.ok);
+  EXPECT_EQ(bus_miss.error, kErrNoSuchSnapshot);
+  JobSpec closed_page = small_job("count");
+  closed_page.job.options.cfg.dram.page_policy = "closed";
+  const Response policy_miss = client.restore(closed_page, 1);
+  EXPECT_FALSE(policy_miss.ok);
+  EXPECT_EQ(policy_miss.error, kErrNoSuchSnapshot);
   EXPECT_TRUE(client.restore(small_job("count"), 1).ok);
 }
 
