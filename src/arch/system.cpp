@@ -1,38 +1,6 @@
 #include "arch/system.hpp"
 
-#include <cstdio>
-
 namespace mlp::arch {
-
-namespace {
-const char* context_state_name(core::Context::State state) {
-  switch (state) {
-    case core::Context::State::kReady: return "ready";
-    case core::Context::State::kWaitMem: return "wait-mem";
-    case core::Context::State::kHalted: return "halted";
-  }
-  return "?";
-}
-}  // namespace
-
-std::string dump_corelets(const std::vector<core::Corelet>& corelets) {
-  std::string out;
-  char line[160];
-  for (const core::Corelet& corelet : corelets) {
-    for (u32 x = 0; x < corelet.num_contexts(); ++x) {
-      const core::Context& ctx = corelet.context(x);
-      std::snprintf(line, sizeof(line),
-                    "  corelet[%u].ctx[%u] pc=%u state=%s ready_at=%llu "
-                    "instret=%llu\n",
-                    corelet.core_id(), x, ctx.pc,
-                    context_state_name(ctx.state),
-                    static_cast<unsigned long long>(ctx.ready_at),
-                    static_cast<unsigned long long>(ctx.instret));
-      out += line;
-    }
-  }
-  return out;
-}
 
 const char* arch_name(ArchKind kind) {
   switch (kind) {

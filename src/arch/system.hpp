@@ -111,10 +111,6 @@ void verify_result(RunResult* result, const workloads::Workload& workload,
                    const std::vector<mem::LocalStore>& states,
                    bool image_dirty);
 
-/// Multi-line per-corelet context snapshot (PC, state, ready time) for the
-/// forward-progress watchdog's diagnostic dump.
-std::string dump_corelets(const std::vector<core::Corelet>& corelets);
-
 /// Run `workload` on the architecture selected by `kind` (dispatches to the
 /// concrete systems below). An optional TraceSession captures typed events
 /// and interval timelines; it must outlive the call and is also written to

@@ -20,6 +20,7 @@
 #include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/watchdog.hpp"
+#include "mem/channels.hpp"
 #include "sim/kernel.hpp"
 #include "sim/runner.hpp"
 #include "trace/trace.hpp"
@@ -187,7 +188,9 @@ TEST(KernelFastForward, SkipsProvablyIdleEdges) {
     unit->remaining = 3;
     sim::SimulationKernel kernel(cfg, "test", nullptr);
     kernel.add_compute(unit);
-    kernel.set_progress([unit] { return unit->work; });
+    // An idle controller adds nothing: progress is the unit's work.
+    mem::ChannelDemux dram(cfg.dram, "dram", nullptr, nullptr);
+    kernel.set_progress(&dram, &unit->work);
     return kernel.run([unit] { return unit->remaining == 0; });
   };
 

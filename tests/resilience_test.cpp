@@ -90,6 +90,23 @@ TEST(Watchdog, CycleCeilingBoundsAnyRun) {
   EXPECT_NE(r.error.find("ceiling"), std::string::npos) << r.error;
 }
 
+TEST(Watchdog, TripNamesTheArchitectureThatRan) {
+  // The ablations and the VWS variants share a builder with another arch;
+  // a trip must still name the one that ran (the VWS pilot's included —
+  // at this ceiling it is the pilot that trips).
+  SuiteOptions options;
+  options.rows = 24;
+  options.cfg.watchdog.max_cycles = 100;
+  for (const arch::ArchKind kind :
+       {arch::ArchKind::kMillipedeNoRateMatch, arch::ArchKind::kVws}) {
+    const MatrixResult r = run_job(job(kind, "count", options));
+    ASSERT_FALSE(r.ok());
+    const std::string prefix =
+        std::string("watchdog: ") + arch::arch_name(kind) + ": ";
+    EXPECT_EQ(r.error.rfind(prefix, 0), 0u) << r.error;
+  }
+}
+
 // --- Fault injection + ECC ---
 
 TEST(FaultInjection, UnprotectedBitFlipsAreCaughtByVerification) {
