@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "argparse.hpp"
+#include "remote_report.hpp"
 #include "serve/client.hpp"
 #include "serve/shard.hpp"
 #include "sim/report.hpp"
@@ -230,30 +231,8 @@ int main(int argc, char** argv) {
                    matrix.size(), socket_path.c_str());
       const std::vector<serve::RemoteResult> results =
           serve::run_matrix_sharded({socket_path}, matrix, fleet);
-      int exit_code = 0;
-      std::vector<std::string> stats_runs;
-      if (!stats_json) std::fputs(sim::sweep_csv_header().c_str(), stdout);
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        const serve::RemoteResult& r = results[i];
-        if (!r.error.empty()) {
-          std::fprintf(stderr, "SUBMIT FAILED %s/%s: %s: %s\n",
-                       arch::arch_name(matrix[i].kind),
-                       matrix[i].bench.c_str(), r.error.c_str(),
-                       r.message.c_str());
-          exit_code = 1;
-          continue;
-        }
-        if (!r.run_ok) exit_code = 1;
-        if (stats_json) {
-          stats_runs.push_back(r.stats_run_json);
-        } else {
-          std::fputs(r.csv.c_str(), stdout);
-        }
-      }
-      if (stats_json) {
-        std::fputs(sim::stats_json_document(stats_runs).c_str(), stdout);
-      }
-      return exit_code;
+      return tools::print_remote_results(stdout, stderr, matrix, results,
+                                         stats_json);
     }
 
     if (command == "submit") {

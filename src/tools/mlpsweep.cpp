@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "argparse.hpp"
+#include "remote_report.hpp"
 #include "serve/shard.hpp"
 #include "sim/fork.hpp"
 #include "sim/pool.hpp"
@@ -143,48 +144,12 @@ int run_remote(const std::vector<std::string>& servers,
   const std::vector<serve::RemoteResult> results =
       serve::run_matrix_sharded(servers, matrix, options, &fleet);
 
-  int exit_code = 0;
-  std::vector<std::string> stats_runs;
-  if (!stats_json) std::fputs(sim::sweep_csv_header().c_str(), stdout);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const serve::RemoteResult& r = results[i];
-    if (!r.error.empty()) {
-      std::fprintf(stderr, "SUBMIT FAILED %s/%s: %s: %s\n",
-                   arch::arch_name(matrix[i].kind), matrix[i].bench.c_str(),
-                   r.error.c_str(), r.message.c_str());
-      exit_code = 1;
-      // The point still gets its row — config columns + the typed error
-      // (node-lost, queue-full, ...) — so a sweep that loses a node emits
-      // a rectangular CSV, exactly like a local per-job failure.
-      sim::MatrixResult failed;
-      failed.job = matrix[i];
-      failed.error = r.error + ": " + r.message;
-      if (stats_json) {
-        stats_runs.push_back(sim::stats_json_run(failed));
-      } else {
-        std::fputs(sim::sweep_csv_row(failed).c_str(), stdout);
-      }
-      continue;
-    }
-    // A point that FAILED ON THE SERVER still yields an ok result response;
-    // its CSV row carries the error column, exactly like the local path.
-    if (!r.run_ok) exit_code = 1;
-    if (stats_json) {
-      stats_runs.push_back(r.stats_run_json);
-    } else {
-      std::fputs(r.csv.c_str(), stdout);
-    }
-  }
-  if (stats_json) {
-    // The fleet footer is OPT-IN: without --fleet-stats the document stays
-    // byte-identical to a local run's, failures or not.
-    const std::string doc =
-        fleet_stats
-            ? sim::stats_json_document(stats_runs, "fleet",
-                                       serve::fleet_health_json(fleet))
-            : sim::stats_json_document(stats_runs);
-    std::fputs(doc.c_str(), stdout);
-  }
+  // The fleet footer is OPT-IN: without --fleet-stats the document stays
+  // byte-identical to a local run's, failures or not.
+  const int exit_code = tools::print_remote_results(
+      stdout, stderr, matrix, results, stats_json,
+      fleet_stats ? "fleet" : "",
+      fleet_stats ? serve::fleet_health_json(fleet) : "");
   if (fleet.degraded() || fleet.chaos_injected != 0) print_fleet_report(fleet);
   return exit_code;
 }

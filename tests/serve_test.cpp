@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "serve/transport.hpp"
 #include "sim/prepare.hpp"
 #include "sim/report.hpp"
+#include "tools/remote_report.hpp"
 
 namespace mlp::serve {
 namespace {
@@ -1085,6 +1087,67 @@ TEST(Service, JobTimeoutCapsWallClockAndTypesTheError) {
   EXPECT_NE(result.doc.str_at("csv").find("job-timeout"), std::string::npos);
   EXPECT_NE(result.doc.str_at("csv").find("wall-clock budget"),
             std::string::npos);
+}
+
+/// Runs print_remote_results into a temporary file; returns what it wrote.
+std::string print_remote(const std::vector<sim::MatrixJob>& matrix,
+                         const std::vector<RemoteResult>& results,
+                         bool stats_json, int* exit_code) {
+  std::FILE* out = std::tmpfile();
+  std::FILE* err = std::tmpfile();
+  *exit_code =
+      tools::print_remote_results(out, err, matrix, results, stats_json);
+  std::string text(static_cast<std::size_t>(std::ftell(out)), '\0');
+  std::rewind(out);
+  const std::size_t read = std::fread(text.data(), 1, text.size(), out);
+  text.resize(read);
+  std::fclose(out);
+  std::fclose(err);
+  return text;
+}
+
+TEST(RemoteReport, FailedSubmissionKeepsItsRow) {
+  // Two points: one that ran (server-rendered row and run object) and one
+  // whose submission failed. Both printers must emit both points, the
+  // failed one as its config columns plus the typed error.
+  std::vector<sim::MatrixJob> matrix(2);
+  matrix[0].kind = arch::ArchKind::kMillipede;
+  matrix[0].bench = "count";
+  matrix[1].kind = arch::ArchKind::kSsmc;
+  matrix[1].bench = "kmeans";
+  sim::MatrixResult ran;
+  ran.job = matrix[0];
+  std::vector<RemoteResult> results(2);
+  results[0].ok = true;
+  results[0].run_ok = true;
+  results[0].csv = sim::sweep_csv_row(ran);
+  results[0].stats_run_json = sim::stats_json_run(ran);
+  results[1].error = "node-lost";
+  results[1].message = "node went away";
+  sim::MatrixResult failed;
+  failed.job = matrix[1];
+  failed.error = "node-lost: node went away";
+
+  int exit_code = 0;
+  const std::string csv = print_remote(matrix, results, false, &exit_code);
+  EXPECT_EQ(exit_code, 1);
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);  // header + 2
+  EXPECT_EQ(csv, sim::sweep_csv_header() + sim::sweep_csv_row(ran) +
+                     sim::sweep_csv_row(failed));
+
+  exit_code = 0;
+  const std::string doc = print_remote(matrix, results, true, &exit_code);
+  EXPECT_EQ(exit_code, 1);
+  EXPECT_EQ(doc, sim::stats_json({ran, failed}));
+  const trace::JsonValue parsed = trace::json_parse(doc);
+  ASSERT_EQ(parsed.find("runs")->array.size(), 2u);
+  EXPECT_EQ(parsed.find("runs")->array[1].str_at("error"),
+            "node-lost: node went away");
+
+  // Without the failure the exit code is clean.
+  results[1] = results[0];
+  print_remote(matrix, results, false, &exit_code);
+  EXPECT_EQ(exit_code, 0);
 }
 
 }  // namespace
