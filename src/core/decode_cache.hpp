@@ -62,8 +62,8 @@ class DecodedBlockCache : public sim::Snapshottable {
   // restored run would count fresh block_misses where the original counted
   // block_hits; restore re-decodes each saved block (the miss counts that
   // incurs are overwritten by the snapshot's counter section, applied last).
-  // The convergence memo needs no saving: the kernel's compute-edge hook
-  // resets it before any post-restore issue.
+  // The convergence memo needs no saving: the kernel resets it at every
+  // processed compute edge, before any post-restore issue.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotCursor& r) override;
 
